@@ -35,7 +35,7 @@ const DefaultSlice = 100_000
 // workload that validates it, advanced by bounded cycle slices. A
 // Session is not safe for concurrent use; the host serializes access
 // (internal/serve holds a per-session mutex). Abandoned sessions must be
-// Closed, or their simulated processors' goroutines leak.
+// Closed, or their simulated processors' coroutines leak.
 type Session struct {
 	name string
 	size workload.Size
@@ -61,6 +61,12 @@ func NewSession(name string, size workload.Size, cfg machine.Config) (*Session, 
 	if err != nil {
 		return nil, err
 	}
+	return start(name, size, cfg, w)
+}
+
+// start assembles the machine for a validated cfg and spawns w's
+// programs on it.
+func start(name string, size workload.Size, cfg machine.Config, w workload.Workload) (*Session, error) {
 	m := machine.New(cfg)
 	progs := w.Setup(m, cfg.Procs)
 	if err := m.Start(progs); err != nil {
@@ -86,11 +92,24 @@ func (s *Session) Done() bool { return s.done }
 // simulation error — Step finalizes the result exactly the way Run
 // does: done is true and Result carries the measurements and verdict.
 // Stepping a finished or closed session is a harmless no-op.
+//
+// A panic in simulation code propagates out of Step to the caller's
+// panic isolation (farm.exec, serve's worker pool); on its way out it
+// closes the session, so the other processors are unwound and the
+// session reports the failure from then on.
 func (s *Session) Step(maxCycles uint64) (done bool, err error) {
 	if s.done || s.closed {
 		return true, s.err
 	}
+	stepped := false
+	defer func() {
+		if !stepped {
+			s.closed = true
+			s.abort("panicked")
+		}
+	}()
 	done, runErr := s.m.Step(maxCycles)
+	stepped = true
 	if !done {
 		return false, nil
 	}
@@ -170,7 +189,7 @@ func (s *Session) OracleReport() *oracle.Report {
 }
 
 // Close tears the session down: a still-running simulation is aborted
-// (its processor goroutines unwound, SENSS group sessions reclaimed and
+// (its processors unwound, SENSS group sessions reclaimed and
 // zeroized). Safe to call at any point, including after completion, and
 // idempotent. The last Snapshot remains readable.
 func (s *Session) Close() {
@@ -179,13 +198,20 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	if !s.done {
-		s.result = s.Snapshot()
-		s.err = fmt.Errorf("senss: %s closed at cycle %d before completion", s.name, s.Cycles())
-		s.done = true
-		s.m.Abort()
+		s.abort("closed")
 		return
 	}
 	s.m.Shutdown()
+}
+
+// abort ends a still-running simulation early: it keeps the last
+// snapshot as the result, records how the run ended, and tears the
+// machine down.
+func (s *Session) abort(how string) {
+	s.result = s.Snapshot()
+	s.err = fmt.Errorf("senss: %s %s at cycle %d before completion", s.name, how, s.Cycles())
+	s.done = true
+	s.m.Abort()
 }
 
 // Run builds a machine from cfg, runs the named workload on all

@@ -16,31 +16,26 @@ import (
 // This file is the RunUntil/Abort interleaving suite: sessions advanced
 // by randomized cycle slices and torn down mid-window must be invisible
 // at the stats level (byte-identical to serial driver.Run) and invisible
-// at the runtime level (every simulated-processor goroutine unwinds).
+// at the runtime level (every simulated-processor coroutine is gone).
 // The whole file runs under `make race`.
 
-// waitGoroutines polls until the live goroutine count drops back to the
-// baseline, failing with a full stack dump if it never does — the
-// goroutine-leak check for aborted and completed sessions. Polling is
-// necessary because Abort unparks procs and returns; the goroutines
-// unwind asynchronously.
-func waitGoroutines(t *testing.T, baseline int) {
+// checkGoroutines fails with a full stack dump unless the live goroutine
+// count is back at the baseline — the goroutine-leak check for aborted
+// and completed sessions. No polling: a finished proc's coroutine exits
+// before RunUntil returns, and Abort stops every live one before it
+// returns, so the count is exact as soon as Close does.
+func checkGoroutines(t *testing.T, baseline int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d live, baseline %d\n%s",
-				runtime.NumGoroutine(), baseline, buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<20)
+		k := runtime.Stack(buf, true)
+		t.Fatalf("goroutine leak: %d live, baseline %d\n%s", n, baseline, buf[:k])
 	}
 }
 
 // settledGoroutines waits for the live goroutine count to hold steady
-// across several polls and returns it — a baseline uncontaminated by
-// still-unwinding processor goroutines from earlier tests.
+// across several polls and returns it — a baseline uncontaminated by test
+// runner goroutines still exiting from earlier tests and subtests.
 func settledGoroutines() int {
 	last, stable := runtime.NumGoroutine(), 0
 	for stable < 5 {
@@ -105,7 +100,7 @@ func TestRandomSlicedSessionMatchesRun(t *testing.T) {
 				t.Errorf("randomized slicing diverged from driver.Run:\n got %+v\nwant %+v", got, want)
 			}
 			s.Close()
-			waitGoroutines(t, baseline)
+			checkGoroutines(t, baseline)
 		})
 	}
 }
@@ -137,7 +132,7 @@ func TestAbortMidWindowNoLeaks(t *testing.T) {
 		if snap := s.Snapshot(); snap.Workload != "ocean" {
 			t.Errorf("seed %d: snapshot lost after mid-window abort: %+v", seed, snap)
 		}
-		waitGoroutines(t, baseline)
+		checkGoroutines(t, baseline)
 	}
 }
 
@@ -202,5 +197,9 @@ func TestConcurrentRandomSlicing(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	waitGoroutines(t, baseline)
+	// The workers themselves may still be exiting after wg.Done, so let
+	// the count settle first. Their sessions' procs are already gone: a
+	// count that settles above the baseline is a leak.
+	settledGoroutines()
+	checkGoroutines(t, baseline)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"senss/internal/machine"
+	"senss/internal/sim"
 	"senss/internal/stats"
 	"senss/internal/workload"
 )
@@ -142,6 +143,41 @@ func TestPersistentFailureConfined(t *testing.T) {
 	for _, good := range []Job{testJob(10), testJob(11)} {
 		if results[good.Hash()].Err != "" {
 			t.Errorf("healthy job %s infected by neighbour's panic", good)
+		}
+	}
+}
+
+// TestSimulationPanicConfined pins isolation for a panic raised inside a
+// simulated processor rather than in the runner itself: the proc's panic
+// reaches exec's recover on the worker's goroutine, the job ends as
+// Result.Err, and the jobs queued behind it on the same worker still run.
+func TestSimulationPanicConfined(t *testing.T) {
+	f := NewMem(1)
+	bad := testJob(12)
+	f.SetRunner(func(j Job) (stats.Run, error) {
+		e := sim.NewEngine()
+		defer e.Abort()
+		e.Spawn("cpu0", func(p *sim.Proc) {
+			p.Sleep(10)
+			if j.Hash() == bad.Hash() {
+				panic("simulated fault")
+			}
+		})
+		e.Spawn("cpu1", func(p *sim.Proc) { p.Sleep(20) })
+		err := e.Run()
+		return stats.Run{Cycles: e.Now()}, err
+	})
+	jobs := []Job{bad, testJob(13), testJob(14)}
+	results, err := f.Run(jobs)
+	if err == nil || !strings.Contains(err.Error(), "1 of 3 jobs failed") {
+		t.Errorf("aggregate error = %v, want one failed job", err)
+	}
+	if !strings.Contains(results[bad.Hash()].Err, "simulated fault") {
+		t.Errorf("bad job error = %q, want the proc's panic", results[bad.Hash()].Err)
+	}
+	for _, good := range jobs[1:] {
+		if res := results[good.Hash()]; res.Err != "" || res.Run.Cycles != 20 {
+			t.Errorf("job %s after the panic: %+v", good, res)
 		}
 	}
 }

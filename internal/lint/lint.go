@@ -8,7 +8,7 @@
 //     seed: the sim engine hands out a single run token, so the only ways
 //     nondeterminism can creep in are map iteration order reaching
 //     scheduling/stats/trace output, host time, global math/rand, sync.Map,
-//     or goroutines created outside the engine.
+//     or goroutines started outside the orchestration packages.
 //   - Secret hygiene. Group session keys, bus masks, and memory pads (§4 of
 //     the paper) must never flow into logs, traces, or error strings — the
 //     classic implementation pitfall of pad-based schemes.

@@ -575,7 +575,10 @@ func (lw *lockWalker) walkBranch(t *ast.BranchStmt) {
 // walkDefer handles defer statements: mutex unlocks register as
 // scheduled releases; literal bodies are scanned for direct unlocks and
 // then walked (state changes discarded) so guarded accesses inside
-// cleanup closures are still checked.
+// cleanup closures are still checked. The body is walked with the states
+// from before its own unlocks were registered: those unlocks *are* the
+// scheduled release, not a second one, so only an earlier deferred
+// release (or a repeat inside the body) reads as a double unlock.
 func (lw *lockWalker) walkDefer(t *ast.DeferStmt) {
 	if op, ok := lw.w.asMutexOp(lw.info, t.Call); ok {
 		if op.method == "Unlock" || op.method == "RUnlock" {
@@ -590,6 +593,7 @@ func (lw *lockWalker) walkDefer(t *ast.DeferStmt) {
 		return
 	}
 	if lit, ok := ast.Unparen(t.Call.Fun).(*ast.FuncLit); ok {
+		before := cloneStates(lw.states)
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			if _, isLit := n.(*ast.FuncLit); isLit {
 				return false
@@ -609,7 +613,7 @@ func (lw *lockWalker) walkDefer(t *ast.DeferStmt) {
 			}
 			return true
 		})
-		sub := lw.subWalker(cloneStates(lw.states), lw.capture)
+		sub := lw.subWalker(before, lw.capture)
 		sub.frames = nil
 		sub.walkStmt(lit.Body)
 		return

@@ -119,6 +119,55 @@ func doubleUnlock(c *Counter) {
 	c.mu.Unlock() // want "deferred release is already scheduled"
 }
 
+// deferClosureClean releases through a one-line deferred closure: the
+// closure's Unlock is the scheduled release itself.
+func deferClosureClean(c *Counter) {
+	c.mu.Lock()
+	defer func() { c.mu.Unlock() }()
+	c.n++
+}
+
+// deferClosureEarlyReturnClean releases from a multi-line deferred
+// closure that has its own early return.
+func deferClosureEarlyReturnClean(c *Counter, flag bool) {
+	c.mu.Lock()
+	defer func() {
+		if flag {
+			c.n = 0
+			c.mu.Unlock()
+			return
+		}
+		c.n++
+		c.mu.Unlock()
+	}()
+	if c.n > 0 {
+		return
+	}
+	c.n--
+}
+
+// deferClosureDoubleUnlock schedules a plain deferred release and then a
+// closure that releases the same mutex again.
+func deferClosureDoubleUnlock(c *Counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer func() {
+		c.mu.Unlock() // want "deferred release is already scheduled"
+	}()
+	c.n++
+}
+
+// deferClosureUnlockTwice releases the same mutex twice inside one
+// deferred closure.
+func deferClosureUnlockTwice(c *Counter) {
+	c.mu.Lock()
+	defer func() {
+		c.mu.Unlock()
+		c.mu.Unlock() // want "not locked on this path"
+	}()
+	c.n++
+}
+
 // Stats is the RWMutex shape.
 type Stats struct {
 	mu sync.RWMutex

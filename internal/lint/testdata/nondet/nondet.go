@@ -1,5 +1,6 @@
 // Package nondet seeds nondeterm-analyzer fixtures: host time, global
-// math/rand, sync.Map, and goroutine creation outside the sim engine.
+// math/rand, sync.Map, and goroutine creation outside the orchestration
+// packages.
 package nondet
 
 import (
@@ -28,7 +29,7 @@ var Shared sync.Map // want "sync.Map iteration order is nondeterministic"
 
 // Race spawns a goroutine outside the engine's run-token loop.
 func Race(fn func()) {
-	go fn() // want "goroutine outside the sim engine"
+	go fn() // want "goroutine outside the orchestration packages"
 }
 
 // Dur is a pure conversion: accepted.

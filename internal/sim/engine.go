@@ -9,19 +9,23 @@
 // the whole simulation is single-threaded in effect and bit-reproducible for
 // a fixed seed, which DESIGN.md §6 requires.
 //
-// Scheduling is direct-handoff: the goroutine that holds the run token
-// (a proc inside Sleep/Park, or the engine inside RunUntil) pops the next
-// event itself and hands the token straight to its target. When a proc's own
-// resumption is the next event it simply keeps running — zero channel
-// operations — and otherwise a handoff costs one channel send, instead of
-// the two sends plus two receives of a central dispatcher loop. The profile
-// that motivated this (see DESIGN.md §16) showed ~70% of simulation time in
-// exactly that dispatcher round trip. Events live in a calendar queue
-// (calqueue.go) rather than a binary heap for the same reason: O(1)
-// value-typed push/pop with no comparison sorting on the hot path.
+// Each proc is a runtime coroutine made by iter.Pull. The code that holds
+// the run token (a proc inside Sleep/Park, or RunUntil) pops the next event
+// itself. When a proc's own resumption is the next event it simply keeps
+// running — zero switches, the common case whenever other procs are blocked
+// or idle this cycle. Otherwise the proc records the event's target in
+// Engine.handoff and yields to RunUntil, which resumes the target: two
+// coroutine switches, each handing the thread straight to the other side
+// without a trip through the scheduler's run queue (DESIGN.md §16 has the
+// measurements). Events live in a calendar queue (calqueue.go) rather than
+// a binary heap for the same reason: O(1) value-typed push/pop with no
+// comparison sorting on the hot path.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Engine owns simulated time and the run token.
 type Engine struct {
@@ -33,16 +37,16 @@ type Engine struct {
 	deadline uint64
 	// stop records why the token came back to the engine.
 	stop stopReason
-	// ctl hands the run token from a stopping proc back to RunUntil.
-	ctl  chan struct{}
-	live int // procs spawned and not yet finished
+	// handoff is the proc dispatch popped for RunUntil to resume next;
+	// nil when the token stays with the engine (e.stop says why).
+	handoff *Proc
+	live    int // procs spawned and not yet finished
 	// procs registers every spawned proc so Abort can reach the ones
 	// parked outside the event queue (wait queues hold them privately).
-	procs    []*Proc
-	limit    uint64
-	halted   bool
-	haltMsg  string
-	aborting bool
+	procs   []*Proc
+	limit   uint64
+	halted  bool
+	haltMsg string
 }
 
 // stopReason says why dispatch returned the token to the engine.
@@ -57,7 +61,7 @@ const (
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{ctl: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current simulated cycle.
@@ -92,11 +96,15 @@ func (e *Engine) Halted() (bool, string) { return e.halted, e.haltMsg }
 
 // Proc is a cooperative simulated thread of execution.
 type Proc struct {
-	e      *Engine
-	wake   chan struct{}
-	name   string
-	parked bool
-	done   bool
+	e *Engine
+	// next resumes the proc's coroutine until it yields or finishes;
+	// stop unwinds it. yield hands the run token back to RunUntil and
+	// reports false once stop has been called.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	name  string
+	done  bool
 }
 
 // Name returns the proc's diagnostic name.
@@ -110,8 +118,8 @@ func (p *Proc) Engine() *Engine { return p.e }
 //senss-lint:hotpath
 func (p *Proc) Now() uint64 { return p.e.now }
 
-// procAborted is the sentinel Sleep/Park panic with when the engine is
-// tearing down; the Spawn wrapper recovers it and retires the proc.
+// procAborted is the sentinel Sleep/Park panic with when Abort stops the
+// proc; the Spawn wrapper recovers it and retires the proc.
 type abortSentinel struct{}
 
 var procAborted = abortSentinel{}
@@ -119,29 +127,31 @@ var procAborted = abortSentinel{}
 // Spawn creates a proc running fn, started at the current cycle (after
 // already-queued events at this cycle).
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, wake: make(chan struct{}), name: name}
+	p := &Proc{e: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		fn(p)
+	})
 	e.live++
 	e.procs = append(e.procs, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, aborted := r.(abortSentinel); !aborted {
-					panic(r) // a genuine simulation bug keeps crashing loudly
-				}
-			}
-			p.done = true
-			e.live--
-			e.retire(p)
-		}()
-		<-p.wake // wait for the start event to hand us the token
-		if e.aborting {
-			return // unwound before the program ever ran
-		}
-		fn(p)
-	}()
 	e.seq++
 	e.q.push(event{at: e.now, seq: e.seq, p: p}) // the start event
 	return p
+}
+
+// exit retires the proc when its body returns or unwinds. The abort
+// sentinel ends here; any other panic is a genuine simulation bug and
+// keeps going, out of the coroutine to whoever resumed it (RunUntil or
+// Abort) on the caller's goroutine.
+func (p *Proc) exit() {
+	p.done = true
+	p.e.live--
+	if r := recover(); r != nil {
+		if _, aborted := r.(abortSentinel); !aborted {
+			panic(r)
+		}
+	}
 }
 
 // dispatch pops and runs events while the caller holds the run token,
@@ -150,26 +160,29 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // engine dispatches from RunUntil.
 //
 // It returns true only when self's own resumption event came up — the
-// caller keeps the token and simply continues, with no channel traffic at
-// all (the common case whenever other procs are blocked or idle this
-// cycle). On false the token has moved: to another proc (one channel
-// send), or back to the engine with e.stop recording why.
+// caller keeps the token and simply continues, with no coroutine switch
+// at all. On false the token has moved: e.handoff names the proc
+// RunUntil resumes next, or is nil with e.stop recording why the slice
+// ended.
 //
-// fn events run inline under the caller's goroutine; they are engine
-// context either way because their code never blocks or sleeps.
+// fn events run inline under the caller; they are engine context either
+// way because their code never blocks or sleeps.
 //
 //senss-lint:hotpath
 func (e *Engine) dispatch(self *Proc) bool {
 	for {
 		at, ok := e.q.peekAt()
 		if !ok {
-			return e.handback(self, stopEmpty)
+			e.stop = stopEmpty
+			return false
 		}
 		if e.halted {
-			return e.handback(self, stopHalt)
+			e.stop = stopHalt
+			return false
 		}
 		if at > e.deadline {
-			return e.handback(self, stopDeadline)
+			e.stop = stopDeadline
+			return false
 		}
 		ev := e.q.popAt(at)
 		if ev.at < e.now {
@@ -177,7 +190,8 @@ func (e *Engine) dispatch(self *Proc) bool {
 		}
 		e.now = ev.at
 		if e.limit != 0 && e.now > e.limit {
-			return e.handback(self, stopLimit)
+			e.stop = stopLimit
+			return false
 		}
 		if ev.p == nil {
 			ev.fn()
@@ -189,40 +203,19 @@ func (e *Engine) dispatch(self *Proc) bool {
 		if ev.p.done {
 			panic(fmt.Sprintf("sim: resuming finished proc %q", ev.p.name))
 		}
-		ev.p.parked = false
-		ev.p.wake <- struct{}{}
-		if self == nil {
-			// The engine keeps waiting here until a proc stops the
-			// slice and hands the token back through ctl.
-			<-e.ctl
-		}
+		e.handoff = ev.p
 		return false
 	}
 }
 
-// handback routes the run token to the engine with the given stop reason.
-// A proc does it over ctl (RunUntil's dispatch is blocked receiving); the
-// engine's own dispatch just returns.
+// suspend gives the run token up after dispatch moved it elsewhere, and
+// returns when RunUntil resumes this proc. If Abort stopped the proc
+// instead, the sentinel panic unwinds its body.
 //
 //senss-lint:hotpath
-func (e *Engine) handback(self *Proc, why stopReason) bool {
-	e.stop = why
-	if self != nil {
-		e.ctl <- struct{}{}
-	}
-	return false
-}
-
-// retire runs as the final act of a proc's goroutine, which still holds
-// the run token: during teardown it returns the token to Abort, otherwise
-// it dispatches onward like a Sleep that never wakes.
-func (e *Engine) retire(p *Proc) {
-	if e.aborting {
-		e.ctl <- struct{}{}
-		return
-	}
-	if e.dispatch(p) {
-		panic(fmt.Sprintf("sim: event scheduled for finished proc %q", p.name))
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
+		panic(procAborted)
 	}
 }
 
@@ -237,10 +230,7 @@ func (p *Proc) Sleep(d uint64) {
 	if e.dispatch(p) {
 		return // own resumption was next: keep the token
 	}
-	<-p.wake
-	if e.aborting {
-		panic(procAborted)
-	}
+	p.suspend()
 }
 
 // Park suspends the proc indefinitely; another party must wake it via a
@@ -248,17 +238,10 @@ func (p *Proc) Sleep(d uint64) {
 //
 //senss-lint:hotpath
 func (p *Proc) Park() {
-	e := p.e
-	p.parked = true
-	if e.dispatch(p) {
-		// An Unpark at this cycle was already queued before we parked.
-		p.parked = false
-		return
+	if p.e.dispatch(p) {
+		return // an Unpark at this cycle was already queued before we parked
 	}
-	<-p.wake
-	if e.aborting {
-		panic(procAborted)
-	}
+	p.suspend()
 }
 
 // Unpark schedules parked proc q to resume at the current cycle. It may be
@@ -315,6 +298,15 @@ func (e *Engine) Run() error {
 func (e *Engine) RunUntil(deadline uint64) (done bool, err error) {
 	e.deadline = deadline
 	e.dispatch(nil)
+	// Each proc runs until it yields (having dispatched onward itself) or
+	// finishes (and nobody dispatched after it). A panic in a proc body
+	// propagates out of next, and so out of RunUntil, on this goroutine.
+	for p := e.handoff; p != nil; p = e.handoff {
+		e.handoff = nil
+		if _, running := p.next(); !running {
+			e.dispatch(nil)
+		}
+	}
 	switch e.stop {
 	case stopDeadline:
 		// The slice is exhausted: advance the clock so the next
@@ -340,17 +332,22 @@ func (e *Engine) RunUntil(deadline uint64) (done bool, err error) {
 }
 
 // Abort tears the simulation down mid-run: every live proc — parked,
-// sleeping, or not yet started — is resumed once into a sentinel panic
-// that unwinds its goroutine, and the event queue is dropped. Must be
-// called from engine-caller context (never from inside a proc or event
-// callback). The engine is unusable afterwards; counters and the clock
-// remain readable. Idempotent.
+// sleeping, or not yet started — is stopped, which unwinds a started
+// proc's body through the sentinel panic (running its defers) and retires
+// an unstarted one without running it, and the event queue is dropped.
+// Unwinding is synchronous: when Abort returns, no proc coroutine is left.
+// Must be called from engine-caller context (never from inside a proc or
+// event callback). The engine is unusable afterwards; counters and the
+// clock remain readable. Idempotent.
 func (e *Engine) Abort() {
-	e.aborting = true
 	for _, p := range e.procs {
-		if !p.done {
-			p.wake <- struct{}{} // wakes into the sentinel panic…
-			<-e.ctl              // …whose retire hands the token back
+		if p.done {
+			continue
+		}
+		p.stop()
+		if !p.done { // never started: its body, and so exit, never ran
+			p.done = true
+			e.live--
 		}
 	}
 	e.procs = nil

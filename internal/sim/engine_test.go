@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -374,4 +376,118 @@ func TestAbortTerminatesLiveProcs(t *testing.T) {
 		t.Errorf("cleanups = %d, want 2", cleanups)
 	}
 	e.Abort() // idempotent
+}
+
+// TestProcPanicSurfacesFromRunUntil pins panic isolation: a panic in a
+// proc body reaches RunUntil's caller on the caller's goroutine (where a
+// recover can catch it), and a following Abort stops the procs still
+// suspended, leaving no live proc and no goroutine behind.
+func TestProcPanicSurfacesFromRunUntil(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEngine()
+	var q Queue
+	e.Spawn("parked", func(p *Proc) { q.Wait(p) })
+	e.Spawn("spinner", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	e.Spawn("faulty", func(p *Proc) {
+		p.Sleep(5)
+		panic("simulated fault")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_, _ = e.RunUntil(100)
+		return nil
+	}()
+	if got != "simulated fault" {
+		t.Fatalf("recovered %v, want the proc's panic value", got)
+	}
+	if e.Now() != 5 {
+		t.Errorf("panic surfaced at cycle %d, want 5", e.Now())
+	}
+	if e.live != 2 {
+		t.Errorf("live = %d after the panic, want 2 (the faulty proc retired)", e.live)
+	}
+	e.Abort()
+	if e.live != 0 {
+		t.Errorf("live = %d after Abort, want 0", e.live)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Abort, baseline %d", n, baseline)
+	}
+}
+
+// TestAbortUnwindsSynchronously pins that proc coroutines end without
+// polling: a finished proc's by the time RunUntil returns, a stopped
+// one's by the time Abort returns.
+func TestAbortUnwindsSynchronously(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEngine()
+	for i := 0; i < 4; i++ {
+		e.Spawn("finisher", func(p *Proc) { p.Sleep(3) })
+		e.Spawn("spinner", func(p *Proc) {
+			for {
+				p.Sleep(2)
+			}
+		})
+	}
+	if done, err := e.RunUntil(10); done || err != nil {
+		t.Fatalf("done=%v err=%v, want a paused mid-run engine", done, err)
+	}
+	mid := runtime.NumGoroutine()
+	e.Abort()
+	after := runtime.NumGoroutine()
+	if mid-after < 4 {
+		t.Errorf("Abort freed %d goroutines, want the 4 spinners' coroutines", mid-after)
+	}
+	if after > baseline {
+		t.Errorf("%d goroutines after Abort, baseline %d", after, baseline)
+	}
+}
+
+// alternate spawns two procs that each Sleep(1) rounds times. Every
+// Sleep finds the other proc's resumption next, so each one is a
+// handoff: the token leaves the sleeper and RunUntil resumes its peer.
+func alternate(e *Engine, rounds int) {
+	for i := 0; i < 2; i++ {
+		e.Spawn("ping", func(p *Proc) {
+			for r := 0; r < rounds; r++ {
+				p.Sleep(1)
+			}
+		})
+	}
+}
+
+// TestHandoffZeroAlloc pins the handoff path at zero allocations: once
+// every calendar-queue bucket has been touched, a slice of 100 cycles —
+// 200 handoffs between the two procs — allocates nothing.
+func TestHandoffZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	defer e.Abort()
+	alternate(e, math.MaxInt)
+	if done, err := e.RunUntil(4 * wheelBuckets); done || err != nil {
+		t.Fatalf("done=%v err=%v while warming the wheel", done, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.RunUntil(e.Now() + 100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocs per 200 handoffs, want 0", allocs)
+	}
+}
+
+// BenchmarkHandoff measures one proc-to-proc handoff: two procs
+// alternating Sleep(1), reported per Sleep.
+func BenchmarkHandoff(b *testing.B) {
+	e := NewEngine()
+	alternate(e, (b.N+1)/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
 }
