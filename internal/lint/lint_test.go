@@ -106,14 +106,16 @@ outer:
 	}
 }
 
-// TestAnalyzerFixtures drives every analyzer over its seeded-violation
-// fixture package (the expected-diagnostic golden format).
-func TestAnalyzerFixtures(t *testing.T) {
-	loader := newLoader(t)
-	cases := []struct {
-		dir      string
-		analyzer *lint.Analyzer
-	}{
+// fixtureCase pairs a testdata package with the analyzer it exercises.
+type fixtureCase struct {
+	dir      string
+	analyzer *lint.Analyzer
+}
+
+// fixtureCases lists every seeded-violation fixture package, each with a
+// fresh analyzer (runFixture lifts its scope).
+func fixtureCases() []fixtureCase {
+	return []fixtureCase{
 		{"determ", lint.AnalyzerDeterminism()},
 		{"nondet", lint.AnalyzerNondeterm()},
 		{"orchfix", lint.AnalyzerNondeterm()},
@@ -125,7 +127,13 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"hotpath", lint.AnalyzerHotpath()},
 		{"lockguard", lint.AnalyzerLockguard()},
 	}
-	for _, tc := range cases {
+}
+
+// TestAnalyzerFixtures drives every analyzer over its seeded-violation
+// fixture package (the expected-diagnostic golden format).
+func TestAnalyzerFixtures(t *testing.T) {
+	loader := newLoader(t)
+	for _, tc := range fixtureCases() {
 		t.Run(tc.dir, func(t *testing.T) {
 			runFixture(t, loader, tc.analyzer, tc.dir)
 		})
