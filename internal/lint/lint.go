@@ -179,7 +179,8 @@ func RegistryNames() map[string]bool {
 // RunAnalyzers executes every applicable analyzer over the packages,
 // filters findings through senss-lint:ignore directives, and appends a
 // diagnostic for each malformed or reason-less directive. The result is
-// sorted by position for reproducible output.
+// sorted by position, analyzer and message: a total order, so the output
+// does not depend on the order analyzers report in.
 func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	// Waiver directives may name any analyzer of the default suite plus
 	// whatever extra analyzers this run carries (fixture tests construct
@@ -255,7 +256,10 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return out
 }

@@ -35,42 +35,6 @@ var terminatingFuncs = map[string]bool{
 	"log.Fatalln": true,
 }
 
-// staticCallee resolves a call to the *types.Func it names, or nil for
-// func values, conversions, and builtins.
-func lockStaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
-	}
-	return nil
-}
-
-func lockIsInterfaceMethod(f *types.Func) bool {
-	sig, _ := f.Type().(*types.Signature)
-	return sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type())
-}
-
-// funcDisplay renders a callee for messages: Type.method or pkg.func.
-func funcDisplay(f *types.Func) string {
-	if sig, _ := f.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name() + "." + f.Name()
-		}
-	}
-	if f.Pkg() != nil {
-		return f.Pkg().Name() + "." + f.Name()
-	}
-	return f.Name()
-}
-
 // computeSummaries records, for every module function, whether its own
 // statements (excluding go statements and func-literal bodies, which the
 // walk models at their use sites) can block, and which annotated lock
@@ -130,13 +94,13 @@ func (w *lockWorld) computeSummaries() {
 					}
 					return true
 				}
-				callee := lockStaticCallee(info, t)
+				callee := staticCallee(info, t)
 				if callee == nil {
 					return true
 				}
 				if _, inMod := w.funcs[callee]; inMod {
 					cl[callee] = true
-				} else if lockIsInterfaceMethod(callee) {
+				} else if isInterfaceMethod(callee) {
 					if blockingExternalFuncs[callee.FullName()] {
 						blocking = true
 					}
@@ -278,7 +242,7 @@ type breakFrame struct {
 // func-literal body, in capture or inherit mode).
 type lockWalker struct {
 	w    *lockWorld
-	fn   *lockFunc // enclosing declared function (requirement hoist root)
+	fn   *indexedFunc // enclosing declared function (requirement hoist root)
 	pkg  *Package
 	info *types.Info
 	// states is the live set of abstract lock states; nil means the
@@ -298,7 +262,7 @@ type lockWalker struct {
 }
 
 // analyze runs the walk over fn's body.
-func (w *lockWorld) analyze(fn *lockFunc) {
+func (w *lockWorld) analyze(fn *indexedFunc) {
 	lw := &lockWalker{
 		w:        w,
 		fn:       fn,
@@ -647,7 +611,7 @@ func (lw *lockWalker) walkGo(t *ast.GoStmt) {
 	for _, a := range t.Call.Args {
 		lw.walkExpr(a)
 	}
-	if callee := lockStaticCallee(lw.info, t.Call); callee != nil {
+	if callee := staticCallee(lw.info, t.Call); callee != nil {
 		reqs := sortedRequires(lw.w.requires[callee])
 		for _, req := range reqs {
 			arg := lw.requireArg(t.Call, req)
@@ -833,12 +797,13 @@ func (lw *lockWalker) callerIndex(v *types.Var) int {
 	if v == nil {
 		return -2
 	}
-	if lw.fn.recv != nil && v == lw.fn.recv {
-		return -1
+	first := 0 // params holds the receiver first, when there is one
+	if lw.fn.obj.Type().(*types.Signature).Recv() != nil {
+		first = -1
 	}
 	for i, p := range lw.fn.params {
 		if v == p {
-			return i
+			return first + i
 		}
 	}
 	return -2
@@ -919,7 +884,7 @@ func (lw *lockWalker) handleCall(call *ast.CallExpr) {
 		}
 		lw.walkExpr(a)
 	}
-	callee := lockStaticCallee(lw.info, call)
+	callee := staticCallee(lw.info, call)
 	if callee == nil {
 		return
 	}
@@ -935,7 +900,7 @@ func (lw *lockWalker) handleCall(call *ast.CallExpr) {
 		for c := range lw.w.acquires[callee] {
 			acquired[c] = true
 		}
-	} else if lockIsInterfaceMethod(callee) {
+	} else if isInterfaceMethod(callee) {
 		if blockingExternalFuncs[callee.FullName()] {
 			blocking = true
 		}

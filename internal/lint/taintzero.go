@@ -54,8 +54,8 @@ type zstate struct {
 
 // checkZeroize enforces zeroize-on-all-paths for every acquire-flagged
 // origin binding in fn. Runs only during the reporting pass.
-func (w *taintWorld) checkZeroize(fn *taintFunc) {
-	if !w.reporting {
+func (w *taintWorld) checkZeroize(fn *indexedFunc) {
+	if w.quiet {
 		return
 	}
 	secrets := w.findAcquisitions(fn)
@@ -72,7 +72,7 @@ func (w *taintWorld) checkZeroize(fn *taintFunc) {
 
 // findAcquisitions locates assignments binding an acquire-origin result to
 // a local identifier.
-func (w *taintWorld) findAcquisitions(fn *taintFunc) []acquiredSecret {
+func (w *taintWorld) findAcquisitions(fn *indexedFunc) []acquiredSecret {
 	info := fn.pkg.Info
 	var out []acquiredSecret
 	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
@@ -84,13 +84,7 @@ func (w *taintWorld) findAcquisitions(fn *taintFunc) []acquiredSecret {
 		if !ok {
 			return true
 		}
-		var callee *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callee, _ = info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			callee, _ = info.Uses[fun.Sel].(*types.Func)
-		}
+		callee := staticCallee(info, call)
 		if callee == nil {
 			return true
 		}
@@ -129,7 +123,7 @@ func objName(obj types.Object) string {
 // zeroWalker carries one (function, secret) path walk.
 type zeroWalker struct {
 	w   *taintWorld
-	fn  *taintFunc
+	fn  *indexedFunc
 	sec acquiredSecret
 }
 
