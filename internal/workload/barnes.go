@@ -296,18 +296,42 @@ func (w *Barnes) thread(c *cpu.Port, tid, procs int) {
 // force pass must be close to a direct O(n²) sum over the same positions
 // (θ=0.5 keeps the approximation within a few percent).
 func (w *Barnes) Validate(m *machine.Machine) error {
-	n := w.n
-	// Reconstruct the positions at the start of the last force pass by
-	// rolling velocities back one step.
-	px := make([]float64, n)
-	py := make([]float64, n)
-	for b := 0; b < n; b++ {
-		vx := m.ReadFloat(w.vx.at(b))
-		vy := m.ReadFloat(w.vy.at(b))
-		px[b] = m.ReadFloat(w.px.at(b)) - dt*vx
-		py[b] = m.ReadFloat(w.py.at(b)) - dt*vy
+	if err := checkBarnesForces(w.lastForcePass(m)); err != nil {
+		return err
 	}
-	var relErrs []float64
+	// Sanity: no NaNs escaped.
+	for b := 0; b < w.n; b++ {
+		if math.IsNaN(m.ReadFloat(w.px.at(b))) || math.IsNaN(m.ReadFloat(w.vy.at(b))) {
+			return fmt.Errorf("barnes: NaN in body %d state", b)
+		}
+	}
+	return nil
+}
+
+// lastForcePass reads the positions at the start of the final force pass
+// (rolling velocities back one step) and the accelerations it stored.
+func (w *Barnes) lastForcePass(m *machine.Machine) (px, py, ax, ay []float64) {
+	n := w.n
+	px, py = make([]float64, n), make([]float64, n)
+	ax, ay = make([]float64, n), make([]float64, n)
+	for b := 0; b < n; b++ {
+		px[b] = m.ReadFloat(w.px.at(b)) - dt*m.ReadFloat(w.vx.at(b))
+		py[b] = m.ReadFloat(w.py.at(b)) - dt*m.ReadFloat(w.vy.at(b))
+		ax[b] = m.ReadFloat(w.ax.at(b))
+		ay[b] = m.ReadFloat(w.ay.at(b))
+	}
+	return px, py, ax, ay
+}
+
+// checkBarnesForces compares the accelerations (ax, ay) against a direct
+// O(n²) sum over the positions (px, py). Each body's error is divided by
+// the RMS direct-sum magnitude over all bodies, not by the body's own:
+// where net forces cancel, a body's own magnitude is near zero and an
+// ordinary approximation error would read as a large relative one.
+func checkBarnesForces(px, py, ax, ay []float64) error {
+	n := len(px)
+	errs := make([]float64, n)
+	var sumSq float64
 	for b := 0; b < n; b++ {
 		var axd, ayd float64
 		for o := 0; o < n; o++ {
@@ -321,31 +345,22 @@ func (w *Barnes) Validate(m *machine.Machine) error {
 			axd += dx * inv
 			ayd += dy * inv
 		}
-		gx := m.ReadFloat(w.ax.at(b))
-		gy := m.ReadFloat(w.ay.at(b))
-		mag := math.Hypot(axd, ayd)
-		if mag < 1e-12 {
-			continue
-		}
-		relErrs = append(relErrs, math.Hypot(gx-axd, gy-ayd)/mag)
+		errs[b] = math.Hypot(ax[b]-axd, ay[b]-ayd)
+		sumSq += axd*axd + ayd*ayd
 	}
-	var worst float64
-	var sum float64
-	for _, e := range relErrs {
+	rms := math.Sqrt(sumSq / float64(n))
+	if rms < 1e-12 {
+		return nil
+	}
+	var worst, sum float64
+	for _, e := range errs {
+		e /= rms
 		sum += e
-		if e > worst {
-			worst = e
-		}
+		worst = math.Max(worst, e)
 	}
-	mean := sum / float64(len(relErrs))
-	if mean > 0.05 || worst > 0.5 {
+	mean := sum / float64(n)
+	if !(mean <= 0.05 && worst <= 0.5) { // NaN fails too
 		return fmt.Errorf("barnes: BH vs direct acceleration error mean %.3f worst %.3f", mean, worst)
-	}
-	// Sanity: no NaNs escaped.
-	for b := 0; b < n; b++ {
-		if math.IsNaN(m.ReadFloat(w.px.at(b))) || math.IsNaN(m.ReadFloat(w.vy.at(b))) {
-			return fmt.Errorf("barnes: NaN in body %d state", b)
-		}
 	}
 	return nil
 }

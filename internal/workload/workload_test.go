@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"senss/internal/machine"
@@ -171,6 +172,50 @@ func TestWorkloadCacheToCacheTraffic(t *testing.T) {
 		}
 		if run.C2C == 0 {
 			t.Errorf("%s: no cache-to-cache transfers at 4P", name)
+		}
+	}
+}
+
+// TestBarnesValidateNearCancellation pins the validator's normalisation.
+// With the default machine at SizeTest, seeds 158, 335 and 390 each place
+// a body where the net force nearly cancels: divided by that body's own
+// magnitude, an accurate Barnes-Hut result read as a worst error of 1.0 to
+// 2.7 and the run was rejected. Divided by the RMS magnitude, all three
+// pass, while planted corruptions of the stored accelerations still fail.
+func TestBarnesValidateNearCancellation(t *testing.T) {
+	for _, seed := range []uint64{158, 335, 390} {
+		cfg := machine.DefaultConfig()
+		cfg.Seed = seed
+		w := NewBarnes(SizeTest)
+		m := machine.New(cfg)
+		if _, err := m.Run(w.Setup(m, cfg.Procs)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := w.Validate(m); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+
+		px, py, ax, ay := w.lastForcePass(m)
+		scale := func(v []float64, f float64) []float64 {
+			out := make([]float64, len(v))
+			for i, x := range v {
+				out[i] = x * f
+			}
+			return out
+		}
+		if err := checkBarnesForces(px, py, scale(ax, 1.2), scale(ay, 1.2)); err == nil {
+			t.Errorf("seed %d: accelerations scaled by 1.2 were accepted", seed)
+		}
+		largest := 0
+		for b := range ax {
+			if math.Hypot(ax[b], ay[b]) > math.Hypot(ax[largest], ay[largest]) {
+				largest = b
+			}
+		}
+		zx, zy := scale(ax, 1), scale(ay, 1)
+		zx[largest], zy[largest] = 0, 0
+		if err := checkBarnesForces(px, py, zx, zy); err == nil {
+			t.Errorf("seed %d: zeroed acceleration of body %d was accepted", seed, largest)
 		}
 	}
 }
